@@ -8,8 +8,8 @@ a virtual-time delay, when an event fires, when an MPI request completes,
 timestamps resolve in submission order, so repeated runs are bit-identical.
 
 The pending set lives in a pluggable :class:`~repro.sim.equeue.EventQueue`
-(binary heap by default, bucketed calendar queue for cluster-scale
-worlds); on top of either backend, zero-delay callbacks — the dominant
+(binary heap by default, or a bucketed calendar queue on request);
+on top of either backend, zero-delay callbacks — the dominant
 event class, every :class:`Event` trigger is one — bypass the queue
 entirely through a same-timestamp FIFO lane.  The lane preserves the
 exact ``(time, seq)`` total order: entries scheduled with ``delay == 0.0``
@@ -241,11 +241,13 @@ class Process:
 
 
 #: ``queue="auto"`` switches from the binary heap to the calendar queue
-#: once the pending population at a drain reaches this size.  The
-#: calendar backend amortises its bucket bookkeeping only on populations
-#: of roughly a rank-grid's worth of concurrent timers (BENCH_scale.json:
-#: 1.29x vs the heap's 1.04x over seed at 64 ranks); below it the bare
-#: ``heapq`` C path wins.
+#: when :meth:`Simulator.run` is entered with at least this many timed
+#: entries pending; below it the bare ``heapq`` C path wins.
+#: :meth:`~repro.sim.mpi.World.run` spawns every rank through the
+#: zero-delay lane, so a single-process world enters with an empty heap
+#: and stays on it at any size (the 1,024-rank ``scale`` benchmark
+#: included); only a caller that re-enters ``run`` with timers in
+#: flight, like a sharded run's window loop, can migrate.
 AUTO_CALENDAR_MIN_PENDING = 48
 
 
@@ -253,10 +255,10 @@ class Simulator:
     """The event loop: (time, seq, callback, arg) entries in a pluggable
     queue, plus a same-timestamp FIFO lane for zero-delay callbacks.
 
-    ``queue`` selects the backend: ``"auto"`` (default — start on the
-    binary heap, migrate to a calendar queue when the pending population
-    at a drain reaches :data:`AUTO_CALENDAR_MIN_PENDING`), ``"heap"`` (a
-    binary heap drained inline with ``heapq``'s C functions),
+    ``queue`` selects the backend: ``"auto"`` (default — the binary
+    heap, migrated to a calendar queue if :meth:`run` is entered with
+    :data:`AUTO_CALENDAR_MIN_PENDING` timed entries pending), ``"heap"``
+    (a binary heap drained inline with ``heapq``'s C functions),
     ``"calendar"`` (a :class:`~repro.sim.equeue.CalendarQueue` for
     cluster-scale pending sets), or any
     :class:`~repro.sim.equeue.EventQueue` instance.  All backends produce
@@ -417,11 +419,11 @@ class Simulator:
         pressure beyond that raises ``RuntimeError`` *before* running the
         offending callback.
 
-        In ``queue="auto"`` mode each drain checks the pending population
-        first and migrates the heap to a calendar queue once it reaches
-        :data:`AUTO_CALENDAR_MIN_PENDING` — a cluster-scale world (one
-        spawned process per rank) crosses the threshold on its very first
-        drain, while the small-grid experiments never leave the heap.
+        In ``queue="auto"`` mode the timed entries pending at entry are
+        counted, and the heap migrates to a calendar queue if they reach
+        :data:`AUTO_CALENDAR_MIN_PENDING`.  Spawned processes start
+        through the zero-delay lane, not the heap, so a single-process
+        world of any size enters with an empty heap and never migrates.
         """
         if (
             self._auto

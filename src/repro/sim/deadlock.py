@@ -45,8 +45,10 @@ class BlockedRank:
 class DeadlockReport:
     """Snapshot of a deadlocked world.
 
-    ``undelivered_messages`` lists messages that arrived at their
-    destination node but were never received by a matching receive;
+    ``unmatched_receives`` lists posted receives no message reached and
+    ``undelivered_messages`` messages that arrived at their destination
+    node but were never received by a matching receive, each entry a
+    ``(dst, src, tag)`` tuple, sorted (see :meth:`World.unmatched`);
     ``messages_dropped`` counts messages the fault layer discarded (the
     usual root cause); ``sim_time`` is the virtual time at diagnosis.
     """
@@ -175,20 +177,11 @@ def diagnose(world: World) -> DeadlockReport:
         BlockedRank(p.name, p.waiting_on)
         for p in world.sim.unfinished_processes()
     )
-    unmatched = tuple(
-        (dst, req.src, req.tag)
-        for dst, posted in enumerate(world._posted)
-        for req in posted
-    )
-    undelivered = tuple(
-        (dst, msg.src, msg.tag)
-        for dst, arrived in enumerate(world._arrived)
-        for msg in arrived
-    )
+    receives, messages, _held = world.unmatched()
     return DeadlockReport(
         blocked,
-        unmatched,
-        undelivered,
+        receives,
+        messages,
         messages_dropped=world.messages_dropped,
         sim_time=world.sim.now,
     )

@@ -35,7 +35,13 @@ Semantics:
   (B2).  Messages arriving before the post are buffered (eager).
 * ``recv`` (blocking) charges A3 then blocks until the message is
   delivered.
-* Matching is FIFO per (source, tag) — MPI's non-overtaking rule.
+* Matching is FIFO per (source, tag) — MPI's non-overtaking rule.  Each
+  ``(src, dst, tag)`` stream owns one :class:`_Stream` record (send
+  sequence, next expected delivery, hold-back map, FIFO lists of
+  unmatched messages and of posted receives).  Receives name an exact
+  source and tag, so a post or a delivery matches the head of its
+  stream's list after one dict lookup — no scan of the rank's
+  unexpected messages, however far a producer runs ahead.
 
 Allocation discipline
 ---------------------
@@ -66,6 +72,7 @@ implementation is preserved, so runs are bit-identical.
 from __future__ import annotations
 
 import warnings
+from collections import defaultdict
 from heapq import heappush
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Generator, Iterable, Sequence
@@ -139,7 +146,7 @@ class _Message:
 
     __slots__ = (
         "src", "dst", "tag", "payload", "nbytes", "seq", "stream_seq",
-        "launch_time", "label", "stream_key", "world", "in_use",
+        "launch_time", "label", "stream", "world", "in_use",
         # sender-side pipeline state
         "kcopy", "send_req", "on_sent", "tx_submit", "cur_wire", "extra_lat",
         # receiver-side pipeline state
@@ -167,7 +174,10 @@ class _Message:
         # "bcast 0*") so traces and critical-path chains name the
         # operation instead of the bare src->dst pair.
         self.label = label
-        self.stream_key = (src, dst, tag)
+        # This world's record of the (src, dst, tag) stream: set by
+        # _make_message, and again by _inject_rx on the deferred receive
+        # path, whose world in a sharded run is not the sender's.
+        self.stream: _Stream | None = None
         self.world = world
         self.in_use = False
         self.kcopy = 0.0
@@ -183,10 +193,6 @@ class _Message:
         self.cb_receive_direct = self._receive_direct
         self.cb_on_arrival = self._on_arrival
         self.cb_after_rx_copy = self._after_rx_copy
-
-    @property
-    def stream(self) -> tuple[int, int, int]:
-        return self.stream_key
 
     # -- pipeline-stage callbacks --------------------------------------------
 
@@ -257,9 +263,11 @@ class _Message:
     def _after_rx_copy(self, interval: tuple) -> None:
         """B2 done: deliver in stream order.
 
-        This is :meth:`World._deliver` inlined — the in-order common case
-        releases directly; out-of-order arrivals are held back and their
-        eventual release drains through the same loop.
+        The in-order common case releases directly.  A message whose
+        predecessors on the same stream are still in flight (possible
+        with multichannel DMA and unequal sizes) is held back — the
+        non-overtaking rule — and released by the loop below once they
+        land.
         """
         w = self.world
         tr = w._tr
@@ -267,18 +275,40 @@ class _Message:
             start, end = interval
             tr.add(self.dst, "kernel_copy", start, end, f"<-{self.src}",
                    resource="dma", term="B2")
-        key = self.stream_key
-        se = w._stream_expected
-        if self.stream_seq != se.get(key, 1):
-            w._stream_held.setdefault(key, {})[self.stream_seq] = self
+        s = self.stream
+        if self.stream_seq != s.expected:
+            s.held[self.stream_seq] = self
             return
         w._release(self)
-        held = w._stream_held.get(key)
+        held = s.held
         while held:
-            successor = held.pop(se[key], None)
+            successor = held.pop(s.expected, None)
             if successor is None:
                 break
             w._release(successor)
+
+
+class _Stream:
+    """Matching state of one ``(src, dst, tag)`` message stream.
+
+    ``next_seq`` numbers the stream's sends; ``expected`` is the next
+    sequence number to deliver and ``held`` keeps completions that
+    overtook a predecessor, keyed by sequence number.  ``arrived`` holds
+    delivered messages no receive has claimed yet and ``posted`` the
+    receives still waiting for one, both in FIFO order; at most one of
+    the two is non-empty.  Plain lists, not deques: a cluster-scale
+    world has thousands of streams, and an empty deque costs ten times
+    an empty list.
+    """
+
+    __slots__ = ("next_seq", "expected", "held", "arrived", "posted")
+
+    def __init__(self) -> None:
+        self.next_seq = 0
+        self.expected = 1
+        self.held: dict[int, _Message] = {}
+        self.arrived: list[_Message] = []
+        self.posted: list[RecvRequest] = []
 
 
 class SendRequest:
@@ -399,10 +429,11 @@ class World:
         path), or ``"streaming"`` (intervals folded into O(ranks)
         aggregates as they close; see
         :class:`~repro.sim.tracing.Trace`).  ``queue`` selects the
-        simulator's event-queue backend (``"auto"`` — the default: heap,
-        upgraded to a calendar queue when the pending population warrants
-        it — or ``"heap"`` / ``"calendar"`` explicitly; bit-identical
-        results in every mode).
+        simulator's event-queue backend (``"auto"`` — the default, which
+        keeps :meth:`run` on the heap: ranks spawn through the zero-delay
+        lane, so the calendar migration check finds an empty heap — or
+        ``"heap"`` / ``"calendar"`` explicitly; bit-identical results in
+        every mode).
 
         ``topology`` selects the fabric between the NICs
         (:mod:`repro.sim.topology`): ``None`` or a crossbar keeps the
@@ -444,21 +475,16 @@ class World:
             FifoResource(self.sim, f"node{r}.dma", servers=machine.dma_channels)
             for r in range(num_ranks)
         ]
-        # Unmatched delivered messages and posted receives, per destination.
-        self._arrived: list[list[_Message]] = [[] for _ in range(num_ranks)]
-        self._posted: list[list[RecvRequest]] = [[] for _ in range(num_ranks)]
+        # Send numbering, non-overtaking delivery and matching, one record
+        # per (src, dst, tag) stream, created on first touch by either side.
+        self._streams: defaultdict[tuple[int, int, int], _Stream] = \
+            defaultdict(_Stream)
         self._msg_seq = 0
         self._barrier_waiting: list[Process] = []
         self.messages_sent = 0
         self.drop_every_nth = drop_every_nth
         self.messages_dropped = 0
         self.messages_corrupted = 0
-        # MPI non-overtaking: per-(src, dst, tag) stream bookkeeping so
-        # messages whose pipelines complete out of order (possible with
-        # multichannel DMA and unequal sizes) are still delivered FIFO.
-        self._stream_next_seq: dict[tuple[int, int, int], int] = {}
-        self._stream_expected: dict[tuple[int, int, int], int] = {}
-        self._stream_held: dict[tuple[int, int, int], dict[int, _Message]] = {}
         # Canonical receiver-side ordering (see _unreliable_transmit):
         # every receiver NIC submission is deferred to tx_end + latency
         # and flushed in _LINEAGE order.  Needs a positive latency (the
@@ -917,7 +943,7 @@ class World:
         msg.stream_seq = stream_seq
         msg.launch_time = 0.0
         msg.label = msg_label
-        msg.stream_key = (src, dst, tag)
+        msg.stream = self._streams[(src, dst, tag)]
         msg.tx_submit = submitted_at
         msg.rx_tx_start = tx_start
         msg.rx_label = (msg_label or f"{src}->{dst}") \
@@ -1000,57 +1026,53 @@ class World:
                 sim._push((t, sim._seq, r._fire_cb, packed))
         sim._seq += 1
 
-    def _deliver(self, msg: _Message) -> None:
-        """Message pipeline finished: release in stream order, then match.
-
-        A message whose predecessors on the same (src, dst, tag) stream
-        are still in flight is held back until they land — the
-        non-overtaking rule.
-        """
-        key = msg.stream_key
-        expected = self._stream_expected.get(key, 1)
-        if msg.stream_seq != expected:
-            self._stream_held.setdefault(key, {})[msg.stream_seq] = msg
-            return
-        self._release(msg)
-        held = self._stream_held.get(key)
-        while held:
-            nxt = self._stream_expected[key]
-            successor = held.pop(nxt, None)
-            if successor is None:
-                break
-            self._release(successor)
-
     def _release(self, msg: _Message) -> None:
-        self._stream_expected[msg.stream_key] = msg.stream_seq + 1
-        posted = self._posted[msg.dst]
-        src = msg.src
-        tag = msg.tag
-        for k, req in enumerate(posted):
-            if req.src == src and req.tag == tag:
-                del posted[k]
-                payload = msg.payload
-                req.payload = payload
-                # The payload is saved and the trigger only enqueues its
-                # waiters, so the record can be recycled before it fires.
-                self._release_msg(msg)
-                req.complete_event.trigger(payload)
-                return
-        self._arrived[msg.dst].append(msg)
+        """Deliver an in-order message: complete its stream's oldest
+        posted receive, or queue it as unexpected."""
+        s = msg.stream
+        s.expected = msg.stream_seq + 1
+        posted = s.posted
+        if posted:
+            req = posted.pop(0)
+            payload = msg.payload
+            req.payload = payload
+            # The payload is saved and the trigger only enqueues its
+            # waiters, so the record can be recycled before it fires.
+            self._release_msg(msg)
+            req.complete_event.trigger(payload)
+            return
+        s.arrived.append(msg)
 
     def _post_receive(self, req: RecvRequest, rank: int) -> None:
-        arrived = self._arrived[rank]
-        src = req.src
-        tag = req.tag
-        for k, msg in enumerate(arrived):
-            if msg.src == src and msg.tag == tag:
-                del arrived[k]
-                payload = msg.payload
-                req.payload = payload
-                self._release_msg(msg)
-                req.complete_event.trigger(payload)
-                return
-        self._posted[rank].append(req)
+        s = self._streams[(req.src, rank, req.tag)]
+        arrived = s.arrived
+        if arrived:
+            msg = arrived.pop(0)
+            payload = msg.payload
+            req.payload = payload
+            self._release_msg(msg)
+            req.complete_event.trigger(payload)
+            return
+        s.posted.append(req)
+
+    def unmatched(self) -> tuple[tuple[tuple[int, int, int], ...],
+                                 tuple[tuple[int, int, int], ...], int]:
+        """Read-only snapshot of the matching state: ``(receives,
+        messages, held)``.
+
+        ``receives`` has one ``(dst, src, tag)`` tuple per posted receive
+        still waiting for its message, ``messages`` one per delivered
+        message no receive has claimed; both are sorted by ``(dst, src,
+        tag)``.  ``held`` counts messages held back behind a predecessor
+        that has not been delivered (under lossy faults, one that was
+        dropped).
+        """
+        receives, messages, held = [], [], 0
+        for (src, dst, tag), s in self._streams.items():
+            receives += [(dst, src, tag)] * len(s.posted)
+            messages += [(dst, src, tag)] * len(s.arrived)
+            held += len(s.held)
+        return tuple(sorted(receives)), tuple(sorted(messages)), held
 
     def _make_message(self, src: int, dst: int, tag: int, payload: object,
                       nbytes: float, label: str = "") -> _Message:
@@ -1060,9 +1082,9 @@ class World:
             raise ValueError("nbytes must be non-negative")
         self._msg_seq += 1
         self.messages_sent += 1
-        key = (src, dst, tag)
-        stream_seq = self._stream_next_seq.get(key, 0) + 1
-        self._stream_next_seq[key] = stream_seq
+        s = self._streams[(src, dst, tag)]
+        stream_seq = s.next_seq + 1
+        s.next_seq = stream_seq
         # Inlined _acquire_msg().
         if self._pooling:
             self.pool_acquired += 1
@@ -1085,7 +1107,7 @@ class World:
         msg.stream_seq = stream_seq
         msg.launch_time = 0.0
         msg.label = label
-        msg.stream_key = key
+        msg.stream = s
         return msg
 
     # -- effect continuations (packed-arg forms of the old closures) ----------
@@ -1499,8 +1521,7 @@ class _WaitEffect(Effect):
         frame.rank = ctx.rank
         label = _WAIT_LABELS.get(n)
         process.waiting_on = label if label is not None else f"waitall({n})"
-        # Same registration/hop structure as the old _when_all helper:
-        # empty set resumes via one zero-delay hop, a single request
+        # An empty set resumes via one zero-delay hop, a single request
         # rides its completion event directly, a group counts down.
         if n == 0:
             w.sim.schedule_call(0.0, frame.cb_done, None)
@@ -1509,28 +1530,6 @@ class _WaitEffect(Effect):
         else:
             for r in requests:
                 r.complete_event.add_callback(frame.cb_one)
-
-
-def _when_all(events: list[Event], callback, sim: Simulator) -> None:
-    """Invoke ``callback(values)`` once every event has triggered."""
-    remaining = len(events)
-    if remaining == 0:
-        sim.schedule(0.0, lambda: callback([]))
-        return
-    if remaining == 1:
-        # Fast path: same registration and resume hops as the generic
-        # counter version, minus the bookkeeping.
-        events[0].add_callback(callback)
-        return
-    state = {"remaining": remaining}
-
-    def on_one(_value: object) -> None:
-        state["remaining"] -= 1
-        if state["remaining"] == 0:
-            callback([e.value for e in events])
-
-    for e in events:
-        e.add_callback(on_one)
 
 
 class _BarrierEffect(Effect):

@@ -1,10 +1,12 @@
 """Tests for the MPI-like primitives: timing semantics, matching, payloads."""
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.model.machine import Machine
-from repro.sim.deadlock import diagnose
+from repro.sim.deadlock import BlockedRank, diagnose
 from repro.sim.mpi import World
 
 
@@ -22,6 +24,127 @@ def _machine(**kw):
     )
     defaults.update(kw)
     return Machine(**defaults)
+
+
+class _RecordingWorld(World):
+    """Logs every in-order delivery and every receive post in the order
+    the world performs them, and counts the deliveries that found a
+    message held back behind them."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.log = []
+        self.held_seen = 0
+
+    def _release(self, msg):
+        self.held_seen += self.unmatched()[2] > 0
+        self.log.append(("deliver", msg.src, msg.dst, msg.tag, msg.payload))
+        super()._release(msg)
+
+    def _post_receive(self, req, rank):
+        self.log.append(("post", req.src, rank, req.tag, req))
+        super()._post_receive(req, rank)
+
+
+def _linear_scan_matches(log, num_ranks):
+    """Replay a logged run through a reference matcher: per destination
+    rank, one list of unexpected messages and one of posted receives,
+    each scanned for the first entry with the same (src, tag).
+
+    Returns the payload each receive request gets, and how many receives
+    were posted before and after their message was delivered."""
+    arrived = [[] for _ in range(num_ranks)]
+    posted = [[] for _ in range(num_ranks)]
+    expected = {}
+    posted_first = arrived_first = 0
+    for kind, src, dst, tag, item in log:
+        if kind == "deliver":
+            for k, (s, t, req) in enumerate(posted[dst]):
+                if s == src and t == tag:
+                    del posted[dst][k]
+                    expected[req] = item
+                    posted_first += 1
+                    break
+            else:
+                arrived[dst].append((src, tag, item))
+        else:
+            for k, (s, t, payload) in enumerate(arrived[dst]):
+                if s == src and t == tag:
+                    del arrived[dst][k]
+                    expected[item] = payload
+                    arrived_first += 1
+                    break
+            else:
+                posted[dst].append((src, tag, item))
+    return expected, posted_first, arrived_first
+
+
+def _check_matching_against_reference(rng, totals):
+    """One random program: 2-4 senders stream messages of mixed sizes on
+    1-3 tags to one receiver, which posts the matching receives in a
+    shuffled order, blocking and non-blocking, with random delays so
+    some posts precede their message and some follow it.  Two DMA
+    channels and size-dependent kernel copies let a small message
+    overtake a large one in hardware, so the hold-back path runs."""
+    n_senders = rng.randint(2, 4)
+    n_tags = rng.randint(1, 3)
+    dst = n_senders
+    machine = _machine(dma_channels=2, fill_kernel_per_byte=1e-3,
+                       network_latency=rng.choice([0.0, 0.5]))
+    sends = [
+        [(rng.randrange(n_tags), rng.choice([10, 300, 4000]),
+          rng.choice([0.0, 0.0, 0.5, 4.0]))
+         for _ in range(rng.randint(2, 8))]
+        for _ in range(n_senders)
+    ]
+    plan = [(src, tag) for src in range(n_senders) for tag, _, _ in sends[src]]
+    rng.shuffle(plan)
+    plan = [(src, tag, rng.random() < 0.3, rng.choice([0.0, 0.0, 1.0, 6.0]),
+             rng.random() < 0.3) for src, tag in plan]
+    received = []  # ((src, tag, k), request or payload), in post order
+
+    def sender(rank):
+        def program(ctx):
+            counts = [0] * n_tags
+            for tag, nbytes, delay in sends[rank]:
+                if delay:
+                    yield ctx.compute_seconds(delay)
+                counts[tag] += 1
+                yield ctx.isend(dst, nbytes, payload=(rank, tag, counts[tag]),
+                                tag=tag)
+        return program
+
+    def receiver(ctx):
+        counts = {}
+        pending = []
+        for src, tag, blocking, delay, drain in plan:
+            if delay:
+                yield ctx.compute_seconds(delay)
+            k = counts[src, tag] = counts.get((src, tag), 0) + 1
+            if blocking:
+                received.append(((src, tag, k), (yield ctx.recv(src, 300, tag))))
+            else:
+                req = yield ctx.irecv(src, 300, tag)
+                received.append(((src, tag, k), req))
+                pending.append(req)
+            if drain:
+                yield ctx.waitall(pending)
+                pending = []
+        yield ctx.waitall(pending)
+
+    w = _RecordingWorld(machine, n_senders + 1)
+    w.run([sender(r) for r in range(n_senders)] + [receiver])
+    payloads = [got if isinstance(got, tuple) else got.payload
+                for _want, got in received]
+    assert payloads == [want for want, _got in received]
+    expected, posted_first, arrived_first = _linear_scan_matches(
+        w.log, n_senders + 1)
+    posts = [item for kind, *_, item in w.log if kind == "post"]
+    assert len(posts) == len(expected) == len(received)
+    assert [r.payload for r in posts] == [expected[r] for r in posts]
+    totals["held"] += w.held_seen
+    totals["posted_first"] += posted_first
+    totals["arrived_first"] += arrived_first
 
 
 class TestIsendIrecvTiming:
@@ -213,6 +336,49 @@ class TestMatching:
 
         w.run([s0, s1, receiver])
         assert got == ["from1", "from0"]
+
+    def test_matching_agrees_with_linear_scan_reference(self):
+        """Seeded random programs: every receive gets the payload a
+        per-rank linear scan of unexpected messages and posted receives
+        would give it, and the k-th receive of a stream gets its k-th
+        send (non-overtaking, through the hold-back path)."""
+        totals = {"held": 0, "posted_first": 0, "arrived_first": 0}
+        for seed in range(200):
+            _check_matching_against_reference(random.Random(seed), totals)
+        # The scenarios exercise every matching path, not just one.
+        assert totals["held"] >= 100
+        assert totals["posted_first"] >= 200
+        assert totals["arrived_first"] >= 200
+
+    def test_two_rank_wedge_report(self):
+        # Each rank sends on a tag its peer never receives and waits on
+        # one its peer never sends.  Entries come out sorted by
+        # (dst, src, tag), not in posting order.
+        w = World(_machine(), 2)
+
+        def p0(ctx):
+            yield ctx.isend(1, 10, payload="x", tag=1)
+            yield ctx.isend(1, 10, payload="x", tag=1)
+            yield ctx.recv(1, 10, tag=0)
+
+        def p1(ctx):
+            r3 = yield ctx.irecv(0, 10, tag=3)
+            r0 = yield ctx.irecv(0, 10, tag=0)
+            yield ctx.isend(0, 10, payload="y", tag=2)
+            yield ctx.waitall([r3, r0])
+
+        with pytest.raises(RuntimeError, match="deadlock"):
+            w.run([p0, p1])
+        report = diagnose(w)
+        assert report.blocked == (
+            BlockedRank("rank0", "recv(blocking)<-1"),
+            BlockedRank("rank1", "waitall(2)"),
+        )
+        assert report.unmatched_receives == ((0, 1, 0), (1, 0, 0), (1, 0, 3))
+        assert report.undelivered_messages == ((0, 1, 2), (1, 0, 1), (1, 0, 1))
+        assert w.unmatched() == (
+            report.unmatched_receives, report.undelivered_messages, 0,
+        )
 
     def test_waitall_returns_aligned_payloads(self):
         w = World(_machine(), 2)

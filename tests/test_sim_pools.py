@@ -41,9 +41,8 @@ def _parked_messages(world: World) -> int:
     """Messages legitimately still alive at quiescence: held back by the
     non-overtaking rule (their predecessor was dropped) or sitting in the
     unmatched-arrival buffer."""
-    held = sum(len(d) for d in world._stream_held.values())
-    arrived = sum(len(a) for a in world._arrived)
-    return held + arrived
+    _receives, arrived, held = world.unmatched()
+    return held + len(arrived)
 
 
 def _frames_in_flight(world: World) -> int:

@@ -73,6 +73,7 @@ HOT_PATH_CLASSES = [
     # message layer
     mpi_mod._Message,
     mpi_mod._WaitFrame,
+    mpi_mod._Stream,
     SendRequest,
     RecvRequest,
     Rank,
